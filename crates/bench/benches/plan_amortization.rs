@@ -6,8 +6,10 @@
 //! for T in {1, 4, 16, 64} (T field evaluations on a prebuilt plan), and
 //! `direct` (one full per-element run — the cost a serving system pays
 //! *per frame* without a plan). The crossover frame count is
-//! `T* = ceil(build / (direct - apply_1))`; measured values live in
-//! EXPERIMENTS.md under "Plan amortization".
+//! `T* = ceil(build / (direct - apply_1))`. At 4k a fourth series,
+//! `batch_B` for B in {1, 2, 4, 8}, times one `apply_many` of B fields
+//! (divide by B for the per-field cost of a shared CSR pass). Measured
+//! values live in EXPERIMENTS.md under "Plan amortization".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -18,6 +20,9 @@ use ustencil_plan::{ApplyOptions, PlanExt};
 
 /// Timestep counts the amortization sweep covers.
 const TIMESTEPS: [usize; 4] = [1, 4, 16, 64];
+
+/// Batch sizes the 4k `apply_many` sweep covers.
+const BATCHES: [usize; 4] = [1, 2, 4, 8];
 
 fn bench_plan_amortization(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_amortization");
@@ -45,6 +50,18 @@ fn bench_plan_amortization(c: &mut Criterion) {
                     }
                 })
             });
+        }
+        // B fields through one `apply_many`: the CSR streams once per
+        // chunk of fields instead of once per field.
+        if n_tri == 4_000 {
+            for b in BATCHES {
+                let fields = w.frames(b);
+                group.bench_with_input(
+                    BenchmarkId::new(format!("batch_{b}"), label),
+                    &fields,
+                    |bch, fields| bch.iter(|| black_box(plan.apply_many(fields, &opts))),
+                );
+            }
         }
         // The per-frame baseline: a full direct run (scale by T to
         // compare against build + T * apply).

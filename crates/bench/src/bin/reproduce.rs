@@ -345,18 +345,28 @@ fn fig14_ranks(r: &mut Runner, sizes: &[usize], ranks: &[usize], timeline_path: 
 
 /// The `plan` subcommand: per mesh size, run the per-element scheme once
 /// directly, compile an evaluation plan, apply it to `timesteps` synthetic
-/// fields (the simulation frames a serving system would post-process), and
-/// report the amortization: build cost, per-apply cost, speedup over
-/// re-running the direct scheme per frame, and the crossover frame count
-/// `T*` past which the plan is cheaper in total.
+/// fields (the simulation frames a serving system would post-process) in
+/// one `apply_many` batch, and report the amortization: build cost,
+/// single-apply cost, batched cost and CSR bytes streamed per field,
+/// speedup of a single apply over re-running the direct scheme per frame,
+/// and the crossover frame count `T*` past which the plan is cheaper in
+/// total.
 fn plan_cmd(r: &mut Runner, sizes: &[usize], timesteps: usize) {
     println!(
         "\n== Evaluation plans: build once, apply {} timestep(s); low-variance, p=1 ==",
         timesteps
     );
     println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>10} {:>6} {:>10}",
-        "mesh", "direct ms", "build ms", "apply ms", "speedup", "T*", "nnz"
+        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>10} {:>10} {:>6} {:>10}",
+        "mesh",
+        "direct ms",
+        "build ms",
+        "apply ms",
+        "batch ms/f",
+        "MB/field",
+        "speedup",
+        "T*",
+        "nnz"
     );
     for &n in sizes {
         let direct = r.run(MeshClass::LowVariance, n, 1, Scheme::PerElement);
@@ -374,36 +384,41 @@ fn plan_cmd(r: &mut Runner, sizes: &[usize], timesteps: usize) {
         let plan = processor.compile_plan(&w.mesh, w.p, &w.grid);
         let build_ms = plan.build_wall().as_secs_f64() * 1e3;
 
-        // Synthetic timesteps: the projected field with coefficients
-        // scaled per frame, standing in for an evolving simulation.
         let apply_opts = ApplyOptions {
             n_blocks: 16,
             parallel: true,
             instrument: true,
             simd,
         };
-        let mut apply_ms_sum = 0.0;
-        let mut last = None;
-        for t in 0..timesteps {
-            let mut field = w.field.clone();
-            let scale = 1.0 + 0.01 * t as f64;
-            for c in field.coefficients_mut() {
-                *c *= scale;
-            }
-            let sol = plan.apply_with(&field, &apply_opts);
-            apply_ms_sum += sol.wall.as_secs_f64() * 1e3;
-            if t == 0 {
-                // Frame 0 is the unscaled field: the plan must reproduce
-                // the direct run it replaces.
-                let diff = sol.max_abs_diff(&direct_values);
-                assert!(
-                    diff <= 1e-12,
-                    "plan disagrees with direct run by {diff} at {n} triangles"
-                );
-            }
-            last = Some(sol);
-        }
-        let apply_ms = apply_ms_sum / timesteps as f64;
+        let frames = w.frames(timesteps);
+        // Frame 0 is the unscaled field: one single apply of it must
+        // reproduce the direct run it replaces, and is the per-apply cost.
+        let single = plan.apply_with(&frames[0], &apply_opts);
+        let diff = single.max_abs_diff(&direct_values);
+        assert!(
+            diff <= 1e-12,
+            "plan disagrees with direct run by {diff} at {n} triangles"
+        );
+        let apply_ms = single.wall.as_secs_f64() * 1e3;
+        // The time loop proper: every frame through `apply_many`, one CSR
+        // pass per chunk of frames. The first result of each pass carries
+        // its block stats and the pass's wall.
+        let batch = plan.apply_many(&frames, &apply_opts);
+        assert!(
+            batch[0]
+                .values
+                .iter()
+                .zip(&single.values)
+                .all(|(a, b)| a.to_bits() == b.to_bits()),
+            "apply_many disagrees with apply_with on frame 0 at {n} triangles"
+        );
+        let passes: Vec<_> = batch.iter().filter(|s| !s.block_stats.is_empty()).collect();
+        let batch_ms = passes
+            .iter()
+            .map(|s| s.wall.as_secs_f64() * 1e3)
+            .sum::<f64>()
+            / timesteps as f64;
+        let mb_per_field = (passes.len() * plan.bytes()) as f64 / timesteps as f64 / 1e6;
         let speedup = direct_ms / apply_ms;
         // Smallest frame count where build + T * apply < T * direct.
         let crossover = if direct_ms > apply_ms {
@@ -412,19 +427,20 @@ fn plan_cmd(r: &mut Runner, sizes: &[usize], timesteps: usize) {
             "inf".to_string()
         };
         println!(
-            "{:>8} {:>12.1} {:>12.1} {:>12.2} {:>9.1}x {:>6} {:>10}",
+            "{:>8} {:>12.1} {:>12.1} {:>12.2} {:>12.2} {:>10.1} {:>9.1}x {:>6} {:>10}",
             size_label(n),
             direct_ms,
             build_ms,
             apply_ms,
+            batch_ms,
+            mb_per_field,
             speedup,
             crossover,
             plan.nnz()
         );
 
         let label = format!("low-variance/{}/p1/plan", size_label(n));
-        let sol = last.expect("at least one timestep");
-        r.records.push(plan.to_run_record(&label, n, &sol));
+        r.records.push(plan.to_run_record(&label, n, &single));
     }
     println!("(amortization: a plan pays for itself after T* frames; see EXPERIMENTS.md)");
 }
@@ -641,12 +657,13 @@ fn serve_bench_fixture(opts: &CliOptions) -> (TrafficOutcome, TrafficConfig) {
 /// observatory, timed as min-of-`--reps` walls and optionally written as a
 /// versioned [`BenchRecord`] for `tools/bench_diff.py` to gate on.
 ///
-/// Fixtures: plan apply at the ladder's large size, the rank-sharded
-/// fig14 exchange at the medium size across the rank ladder, the
-/// instrumented overlap run at 4 ranks (gating the exposed-comms slice),
-/// and the staged-vs-fused integration micro-kernel. Each entry also pins a few
-/// deterministic shape metrics (nnz, counted wire bytes) so a diff can
-/// distinguish "the machine got slower" from "the workload changed".
+/// Fixtures: plan apply (single, and batched per field) at the ladder's
+/// large size, the rank-sharded fig14 exchange at the medium size across
+/// the rank ladder, the instrumented overlap run at 4 ranks (gating the
+/// exposed-comms slice), and the staged-vs-fused integration
+/// micro-kernel. Each entry also pins a few deterministic shape metrics
+/// (nnz, counted wire bytes) so a diff can distinguish "the machine got
+/// slower" from "the workload changed".
 fn bench_cmd(opts: &CliOptions) {
     let (dist_size, plan_size) = match opts.sizes.as_deref() {
         Some(sizes) => (sizes[0], *sizes.last().expect("validated non-empty")),
@@ -683,6 +700,24 @@ fn bench_cmd(opts: &CliOptions) {
     ];
     print_bench_row(&name, wall, &metrics);
     record.push(&name, wall, &metrics);
+
+    // Fixture 1a: a batch of fields through one `apply_many` on the same
+    // plan, timed per field: the CSR streams once per chunk of fields,
+    // so this sits below `plan.apply` by up to the batch width.
+    {
+        const BATCH: usize = 8;
+        let fields = w.frames(BATCH);
+        let (wall, sols) = min_of(reps, || plan.apply_many(&fields, &apply_opts));
+        let name = format!("plan.apply_many/{}", size_label(plan_size));
+        let metrics = [
+            ("nnz", plan.nnz() as f64),
+            ("rows", sols[0].values.len() as f64),
+            ("batch", BATCH as f64),
+        ];
+        let per_field = wall / BATCH as f64;
+        print_bench_row(&name, per_field, &metrics);
+        record.push(&name, per_field, &metrics);
+    }
 
     // Fixture 1b: incremental plan patch after a mesh edit, reusing
     // fixture 1's plan as the base. A band displacement dirties ~5% of the

@@ -17,8 +17,8 @@ commands:
   profile             run an instrumented workload and print the phase /
                       load-imbalance / histogram report
   plan                compile an evaluation plan per mesh size, apply it to
-                      --timesteps synthetic fields, and report the speedup
-                      over direct per-element runs
+                      --timesteps synthetic fields in one batch, and report
+                      the speedup over direct per-element runs
   bench               run the standard benchmark fixtures (plan apply,
                       rank-sharded fig14, staged-vs-fused micro) and report
                       min-of-N walls; --record writes the versioned record

@@ -1,15 +1,40 @@
 //! Applying a compiled plan to dG fields: the SpMV-style hot loop.
+//!
+//! Every apply entry point ([`EvalPlan::apply_with`],
+//! [`EvalPlan::apply_many`], [`EvalPlan::apply_into`]) runs through one
+//! sweep routine: a single pass over the CSR that evaluates a chunk of up
+//! to one batch width of fields (DESIGN.md §9). One field runs the
+//! modes-in-lanes row kernels; several fields run the lanes-over-fields
+//! kernels, which load each weight once and feed it to every field of the
+//! chunk, so a batch of `B` fields streams the CSR `⌈B / W⌉` times instead
+//! of `B` times. Both kernel families keep each field's per-mode chain in
+//! the same entry order and reduce it with the same fixed-order
+//! expression, so every field's values are bitwise those of a single
+//! apply under the same [`SimdPolicy`].
 
 use crate::plan::EvalPlan;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
+use ustencil_core::integrate::MAX_MODES;
 use ustencil_core::{BlockStats, Metrics, Probe, SimdIsa, SimdPolicy, SimdRecord};
 use ustencil_dg::DgField;
 use ustencil_trace::{SpanRecord, Tracer};
 
-/// Upper bound on modal coefficients per element supported by the
-/// lane-accumulator row kernel (degree 6 ⇒ 28 modes, with headroom).
-const MAX_MODES: usize = 32;
+/// Fields one sweep evaluates under [`SimdIsa::Scalar`]: the portable
+/// batch kernel's fixed lane count.
+const SCALAR_BATCH: usize = 4;
+
+/// Fields one CSR sweep evaluates under `isa`: one vector register of
+/// per-field lanes per mode. With at most [`MAX_MODES`] modes, the
+/// per-mode accumulators plus one broadcast weight and one coefficient
+/// load fit every ISA's register file (10 + 2 of 16 ymm, of 32 zmm), so
+/// the mode count never narrows the chunk below the lane count.
+fn batch_width(isa: SimdIsa) -> usize {
+    match isa {
+        SimdIsa::Scalar => SCALAR_BATCH,
+        _ => isa.lanes(),
+    }
+}
 
 /// Configuration of a plan apply.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,21 +62,46 @@ impl Default for ApplyOptions {
     }
 }
 
+impl ApplyOptions {
+    /// Fields one CSR sweep of [`EvalPlan::apply_many`] evaluates under
+    /// these options: the resolved ISA's lane count (8 on AVX-512, 4 on
+    /// AVX2) or 4 under the scalar policy. A batch of `B` fields costs
+    /// `⌈B / batch_width⌉` passes over the CSR.
+    pub fn batch_width(&self) -> usize {
+        batch_width(self.simd.resolve())
+    }
+}
+
 /// Result of applying a plan to one field.
+///
+/// Fields evaluated by one CSR sweep (a chunk of
+/// [`apply_many`](EvalPlan::apply_many), or a single
+/// [`apply_with`](EvalPlan::apply_with)) share the sweep's cost, and the
+/// results say so:
+///
+/// - `metrics` are the field's own work counters, exactly what
+///   `apply_with` reports for that field, whichever sweep ran it;
+/// - `block_stats` and `spans` ride on the *first* result of each sweep
+///   only (the others carry empty vectors), so the results with non-empty
+///   `block_stats` count CSR passes;
+/// - `wall` is the whole sweep's wall time, carried by every result of it.
 #[derive(Debug, Clone)]
 pub struct PlanSolution {
     /// Post-processed value at each grid point (one per plan row).
     pub values: Vec<f64>,
-    /// Aggregated work counters of the apply.
+    /// Aggregated work counters of this field's apply.
     pub metrics: Metrics,
-    /// Per-block stats (wall time, owned rows, entry-count probes).
+    /// Per-block stats of the sweep (wall time, owned rows, entry-count
+    /// probes; counters are one field's share, so they sum to `metrics`).
+    /// Empty unless this is the sweep's first result.
     pub block_stats: Vec<BlockStats>,
-    /// Phase spans of the apply (empty unless instrumented).
+    /// Phase spans of the sweep (empty unless instrumented, and empty
+    /// unless this is the sweep's first result).
     pub spans: Vec<SpanRecord>,
-    /// Wall-clock time of the apply.
+    /// Wall-clock time of the sweep that produced this result.
     pub wall: Duration,
     /// SIMD dispatch summary: requested policy, resolved ISA, achieved
-    /// fraction of nominal peak over this apply's wall time.
+    /// fraction of nominal peak over the sweep's flops and wall time.
     pub simd: SimdRecord,
 }
 
@@ -121,137 +171,48 @@ impl EvalPlan {
     /// Panics when the field's degree or element count does not match the
     /// plan.
     pub fn apply_with(&self, field: &DgField, options: &ApplyOptions) -> PlanSolution {
-        self.check_field(field);
-        let isa = options.simd.resolve();
-        let start = Instant::now();
-        let tracer = Tracer::new(options.instrument);
-
-        // Reordered plans reference permuted element slots; gather the
-        // field's coefficients into those slots once (a streaming copy), so
-        // the row sweep reads a compact, Hilbert-ordered array.
-        let gathered: Option<Vec<f64>> = if self.layout.reorders() {
-            let _span = tracer.span("apply.gather");
-            Some(self.gather_coeffs(field.coefficients()))
-        } else {
-            None
-        };
-        let coeffs: &[f64] = gathered.as_deref().unwrap_or_else(|| field.coefficients());
-
-        let n = self.rows();
-        // Blocked layouts sweep cache-sized row tiles (work-stealing units
-        // whose coefficient span fits in L2); other layouts split the rows
-        // into n_blocks uniform chunks. Either way the per-row arithmetic
-        // order is identical.
-        let bounds: Vec<(usize, usize)> = if self.layout.blocked() && self.tiles.len() >= 2 {
-            self.tiles
-                .windows(2)
-                .map(|w| (w[0] as usize, w[1] as usize))
-                .collect()
-        } else {
-            let n_blocks = options.n_blocks.clamp(1, n.max(1));
-            (0..n_blocks)
-                .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
-                .collect()
-        };
-
-        let block = |s: usize, e: usize, slice: &mut [f64]| -> BlockStats {
-            let block_start = Instant::now();
-            let mut probe = Probe::new(options.instrument);
-            let metrics = self.apply_block(s, e, coeffs, slice, isa, &mut probe);
-            BlockStats {
-                metrics,
-                wall_ns: block_start.elapsed().as_nanos() as u64,
-                elements: 0,
-                points: (e - s) as u64,
-                probe,
-            }
-        };
-
-        let mut values = vec![0.0; n];
-        let block_stats: Vec<BlockStats> = {
-            let _span = tracer.span("apply.spmv");
-            if options.parallel {
-                // Split the output along block boundaries so each worker
-                // owns its slice — race freedom by construction.
-                let mut slices: Vec<&mut [f64]> = Vec::with_capacity(bounds.len());
-                let mut rest = values.as_mut_slice();
-                for &(s, e) in &bounds {
-                    let (head, tail) = rest.split_at_mut(e - s);
-                    slices.push(head);
-                    rest = tail;
-                }
-                bounds
-                    .par_iter()
-                    .zip(slices)
-                    .map(|(&(s, e), slice)| block(s, e, slice))
-                    .collect()
-            } else {
-                bounds
-                    .iter()
-                    .map(|&(s, e)| {
-                        let mut slice = vec![0.0; e - s];
-                        let st = block(s, e, &mut slice);
-                        values[s..e].copy_from_slice(&slice);
-                        st
-                    })
-                    .collect()
-            }
-        };
-
-        // Rows were computed in the plan's internal (possibly permuted)
-        // order; scatter them back so callers see original point indices.
-        let values = if self.layout.reorders() {
-            let _span = tracer.span("apply.scatter");
-            self.scatter_rows(&values)
-        } else {
-            values
-        };
-
-        let wall = start.elapsed();
-        let metrics = Metrics::sum(block_stats.iter().map(|s| &s.metrics));
-        let simd = SimdRecord::measured(options.simd, isa, metrics.flops, wall.as_secs_f64());
-        PlanSolution {
-            values,
-            metrics,
-            block_stats,
-            spans: tracer.into_records(),
-            wall,
-            simd,
-        }
+        self.solve(&[field], options)
+            .pop()
+            .expect("a sweep returns one result per field")
     }
 
     /// Applies the plan to a batch of fields (e.g. the timesteps of a
-    /// simulation), reusing the plan across all of them.
+    /// simulation), streaming the CSR once per chunk of fields: 8 fields
+    /// per pass on AVX-512, 4 on AVX2 and under the scalar policy. Each
+    /// field's values are bitwise those of [`apply_with`](Self::apply_with)
+    /// under the same options; see [`PlanSolution`] for how the results
+    /// share each sweep's stats and wall time.
     ///
     /// # Panics
     /// Panics when any field's degree or element count does not match the
     /// plan.
     pub fn apply_many(&self, fields: &[DgField], options: &ApplyOptions) -> Vec<PlanSolution> {
-        fields.iter().map(|f| self.apply_with(f, options)).collect()
+        let fields: Vec<&DgField> = fields.iter().collect();
+        fields
+            .chunks(options.batch_width())
+            .flat_map(|chunk| self.solve(chunk, options))
+            .collect()
     }
 
-    /// The bare SpMV: writes values into a caller-provided buffer with no
-    /// spans or stats. Allocation-free for natural-layout plans — the
-    /// serve-time fast path. Reordered plans allocate one scratch buffer
-    /// (the coefficient gather); the inverse row permutation is fused into
-    /// the sweep, so each row lands directly in its original output slot.
+    /// The bare SpMV: writes values into a caller-provided buffer, with no
+    /// spans, probes or output allocation — the serve-time fast path. It
+    /// runs the same sweep as [`apply_with`](Self::apply_with), on one
+    /// thread under [`SimdPolicy::Auto`]; reordered plans also allocate
+    /// the coefficient gather and the internally ordered rows.
     ///
     /// # Panics
     /// Panics when the field does not match the plan or `out` is not
     /// exactly [`rows`](EvalPlan::rows) long.
     pub fn apply_into(&self, field: &DgField, out: &mut [f64]) {
-        self.check_field(field);
         assert_eq!(out.len(), self.rows(), "output buffer/plan row mismatch");
-        let isa = SimdPolicy::Auto.resolve();
-        if !self.layout.reorders() {
-            let mut probe = Probe::disabled();
-            self.apply_block(0, self.rows(), field.coefficients(), out, isa, &mut probe);
-            return;
-        }
-        let coeffs = self.gather_coeffs(field.coefficients());
-        for (r, &p) in self.row_perm.iter().enumerate() {
-            out[p as usize] = self.row_dot(r, &coeffs, isa);
-        }
+        let options = ApplyOptions {
+            n_blocks: 1,
+            parallel: false,
+            instrument: false,
+            simd: SimdPolicy::Auto,
+        };
+        let isa = options.simd.resolve();
+        self.sweep(&[field], &mut [out], &options, isa, &Tracer::disabled());
     }
 
     /// Applies only the named rows of a natural-layout plan, writing row
@@ -287,7 +248,6 @@ impl EvalPlan {
         if n == 0 {
             return Vec::new();
         }
-        let nm = self.n_modes;
         let n_blocks = n_blocks.clamp(1, n);
         (0..n_blocks)
             .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
@@ -297,11 +257,7 @@ impl EvalPlan {
                 for &r in &rows[s..e] {
                     let r = r as usize;
                     out[r] = self.row_dot(r, coeffs, isa);
-                    let (lo, hi) = self.row_range(r);
-                    metrics.solution_writes += 1;
-                    let entries = (hi - lo) as u64;
-                    metrics.elem_data_loads += entries * nm as u64;
-                    metrics.flops += 2 * entries * nm as u64;
+                    self.count_row(r, &mut metrics);
                 }
                 metrics.partial_slots += (e - s) as u64;
                 BlockStats {
@@ -315,31 +271,185 @@ impl EvalPlan {
             .collect()
     }
 
-    /// Copies `coeffs` (element-major, original numbering) into permuted
-    /// element slots: slot `c` receives element `col_perm[c]`'s modes.
-    fn gather_coeffs(&self, coeffs: &[f64]) -> Vec<f64> {
+    /// Runs one sweep over `fields` (at most one batch width of them) and
+    /// packages one [`PlanSolution`] per field, under the contract
+    /// documented there.
+    fn solve(&self, fields: &[&DgField], options: &ApplyOptions) -> Vec<PlanSolution> {
+        let isa = options.simd.resolve();
+        let start = Instant::now();
+        let tracer = Tracer::new(options.instrument);
+        let mut values: Vec<Vec<f64>> = fields.iter().map(|_| vec![0.0; self.rows()]).collect();
+        let block_stats = {
+            let mut outs: Vec<&mut [f64]> = values.iter_mut().map(Vec::as_mut_slice).collect();
+            self.sweep(fields, &mut outs, options, isa, &tracer)
+        };
+        let wall = start.elapsed();
+        let metrics = Metrics::sum(block_stats.iter().map(|s| &s.metrics));
+        let simd = SimdRecord::measured(
+            options.simd,
+            isa,
+            metrics.flops * fields.len() as u64,
+            wall.as_secs_f64(),
+        );
+        let mut block_stats = Some(block_stats);
+        let mut spans = Some(tracer.into_records());
+        values
+            .into_iter()
+            .map(|values| PlanSolution {
+                values,
+                metrics,
+                block_stats: block_stats.take().unwrap_or_default(),
+                spans: spans.take().unwrap_or_default(),
+                wall,
+                simd: simd.clone(),
+            })
+            .collect()
+    }
+
+    /// The one CSR sweep behind every apply: evaluates every row of the
+    /// plan for each of `fields`, writing field `f`'s values (in caller
+    /// point order) into `outs[f]`, and returns one [`BlockStats`] per row
+    /// block with one field's counters.
+    ///
+    /// One field reads its coefficients in place (natural layout) or
+    /// gathered into permuted slots, and writes natural-layout rows
+    /// straight into its output. Several fields are gathered interleaved,
+    /// `[slot][mode][lane]` with zero-padded lanes, and their rows are
+    /// staged `[row][lane]` and scattered back afterwards. Either way the
+    /// row blocks split the output into disjoint slices, so workers never
+    /// share a write.
+    fn sweep(
+        &self,
+        fields: &[&DgField],
+        outs: &mut [&mut [f64]],
+        options: &ApplyOptions,
+        isa: SimdIsa,
+        tracer: &Tracer,
+    ) -> Vec<BlockStats> {
+        for field in fields {
+            self.check_field(field);
+        }
+        let lanes = if fields.len() == 1 {
+            1
+        } else {
+            batch_width(isa)
+        };
+        assert!(
+            !fields.is_empty() && fields.len() <= lanes && outs.len() == fields.len(),
+            "a sweep takes one to {lanes} fields and one output per field"
+        );
+
+        // Only a single natural-layout field reads and writes in place.
+        let staged = lanes > 1 || self.layout.reorders();
+        let gathered = staged.then(|| {
+            let _span = tracer.span("apply.gather");
+            self.gather_coeffs(fields, lanes)
+        });
+        let coeffs: &[f64] = gathered
+            .as_deref()
+            .unwrap_or_else(|| fields[0].coefficients());
+        let mut staging = if staged {
+            vec![0.0; self.rows() * lanes]
+        } else {
+            Vec::new()
+        };
+        let bounds = self.row_blocks(options.n_blocks);
+        let block_stats: Vec<BlockStats> = {
+            let _span = tracer.span("apply.spmv");
+            let mut rest: &mut [f64] = if staged { &mut staging } else { &mut *outs[0] };
+            let mut slices: Vec<&mut [f64]> = Vec::with_capacity(bounds.len());
+            for &(s, e) in &bounds {
+                let (head, tail) = rest.split_at_mut((e - s) * lanes);
+                slices.push(head);
+                rest = tail;
+            }
+            let block = |(&(s, e), slice): (&(usize, usize), &mut [f64])| -> BlockStats {
+                let block_start = Instant::now();
+                let mut probe = Probe::new(options.instrument);
+                let metrics = self.sweep_rows(s, e, coeffs, lanes, slice, isa, &mut probe);
+                BlockStats {
+                    metrics,
+                    wall_ns: block_start.elapsed().as_nanos() as u64,
+                    elements: 0,
+                    points: (e - s) as u64,
+                    probe,
+                }
+            };
+            if options.parallel {
+                bounds.par_iter().zip(slices).map(block).collect()
+            } else {
+                bounds.iter().zip(slices).map(block).collect()
+            }
+        };
+
+        if staged {
+            let _span = tracer.span("apply.scatter");
+            self.scatter_rows(&staging, lanes, outs);
+        }
+        block_stats
+    }
+
+    /// Row blocks of a sweep. Blocked layouts sweep cache-sized row tiles
+    /// (work-stealing units whose coefficient span fits in L2); other
+    /// layouts split the rows into `n_blocks` uniform chunks. Either way
+    /// the per-row arithmetic order is identical.
+    fn row_blocks(&self, n_blocks: usize) -> Vec<(usize, usize)> {
+        if self.layout.blocked() && self.tiles.len() >= 2 {
+            return self
+                .tiles
+                .windows(2)
+                .map(|w| (w[0] as usize, w[1] as usize))
+                .collect();
+        }
+        let n = self.rows();
+        let n_blocks = n_blocks.clamp(1, n.max(1));
+        (0..n_blocks)
+            .map(|b| (b * n / n_blocks, (b + 1) * n / n_blocks))
+            .collect()
+    }
+
+    /// Lays the fields' coefficients out for a sweep: slot `c` (element
+    /// `col_perm[c]` of a reordered plan, element `c` otherwise), mode
+    /// `m`, field `f` lands at `(c * n_modes + m) * lanes + f`. Lanes past
+    /// the last field stay zero.
+    fn gather_coeffs(&self, fields: &[&DgField], lanes: usize) -> Vec<f64> {
         let nm = self.n_modes;
-        let mut out = vec![0.0; coeffs.len()];
-        for (slot, &old) in self.col_perm.iter().enumerate() {
-            let old = old as usize;
-            out[slot * nm..(slot + 1) * nm].copy_from_slice(&coeffs[old * nm..(old + 1) * nm]);
+        let mut out = vec![0.0; self.n_elements * nm * lanes];
+        for (f, field) in fields.iter().enumerate() {
+            let src = field.coefficients();
+            for slot in 0..self.n_elements {
+                let old = if self.layout.reorders() {
+                    self.col_perm[slot] as usize
+                } else {
+                    slot
+                };
+                for m in 0..nm {
+                    out[(slot * nm + m) * lanes + f] = src[old * nm + m];
+                }
+            }
         }
         out
     }
 
-    /// Scatters internally-ordered row values back to original point order.
-    fn scatter_rows(&self, permuted: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; permuted.len()];
-        for (r, &p) in self.row_perm.iter().enumerate() {
-            out[p as usize] = permuted[r];
+    /// Scatters staged rows (`[row][lane]`, internal row order) back to
+    /// each field's output in original point order.
+    fn scatter_rows(&self, staged: &[f64], lanes: usize, outs: &mut [&mut [f64]]) {
+        for r in 0..self.rows() {
+            let p = if self.layout.reorders() {
+                self.row_perm[r] as usize
+            } else {
+                r
+            };
+            for (f, out) in outs.iter_mut().enumerate() {
+                out[p] = staged[r * lanes + f];
+            }
         }
-        out
     }
 
     fn check_field(&self, field: &DgField) {
         assert!(
             self.n_modes <= MAX_MODES,
-            "plan exceeds the row kernel's {MAX_MODES}-mode lane budget"
+            "plan exceeds the row kernels' {MAX_MODES}-mode budget"
         );
         assert_eq!(
             field.degree(),
@@ -351,6 +461,46 @@ impl EvalPlan {
             self.n_elements,
             "field element count does not match the plan"
         );
+    }
+
+    /// Charges row `r`'s work for one field to `metrics`.
+    #[inline]
+    fn count_row(&self, r: usize, metrics: &mut Metrics) {
+        let (lo, hi) = self.row_range(r);
+        let entries = (hi - lo) as u64;
+        metrics.solution_writes += 1;
+        metrics.elem_data_loads += entries * self.n_modes as u64;
+        metrics.flops += 2 * entries * self.n_modes as u64;
+    }
+
+    /// Evaluates rows `[start, end)` into `out` (`(end - start) * lanes`
+    /// values, `[row][lane]`), returning one field's counters.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_rows(
+        &self,
+        start: usize,
+        end: usize,
+        coeffs: &[f64],
+        lanes: usize,
+        out: &mut [f64],
+        isa: SimdIsa,
+        probe: &mut Probe,
+    ) -> Metrics {
+        let mut metrics = Metrics::default();
+        for (slot, r) in (start..end).enumerate() {
+            if lanes == 1 {
+                out[slot] = self.row_dot(r, coeffs, isa);
+            } else {
+                self.row_dot_batch(r, coeffs, isa, &mut out[slot * lanes..(slot + 1) * lanes]);
+            }
+            let (lo, hi) = self.row_range(r);
+            // Row entries are this scheme's "candidates": the histogram
+            // shows how many stored elements each output point reads.
+            probe.record_candidates((hi - lo) as u64);
+            self.count_row(r, &mut metrics);
+        }
+        metrics.partial_slots += (end - start) as u64;
+        metrics
     }
 
     /// One row's dot product against `coeffs`, dispatched on the resolved
@@ -388,7 +538,6 @@ impl EvalPlan {
         match self.n_modes {
             1..=4 => self.row_dot_lanes::<4>(r, coeffs),
             5..=8 => self.row_dot_lanes::<8>(r, coeffs),
-            9..=16 => self.row_dot_lanes::<16>(r, coeffs),
             _ => self.row_dot_lanes::<MAX_MODES>(r, coeffs),
         }
     }
@@ -508,30 +657,124 @@ impl EvalPlan {
         total
     }
 
-    /// Evaluates rows `[start, end)` into `out` (length `end - start`).
-    fn apply_block(
-        &self,
-        start: usize,
-        end: usize,
-        coeffs: &[f64],
-        out: &mut [f64],
-        isa: SimdIsa,
-        probe: &mut Probe,
-    ) -> Metrics {
-        let mut metrics = Metrics::default();
-        let nm = self.n_modes;
-        for (slot, r) in (start..end).enumerate() {
-            out[slot] = self.row_dot(r, coeffs, isa);
-            let (lo, hi) = self.row_range(r);
-            // Row entries are this scheme's "candidates": the histogram
-            // shows how many stored elements each output point reads.
-            probe.record_candidates((hi - lo) as u64);
-            metrics.solution_writes += 1;
-            let entries = (hi - lo) as u64;
-            metrics.elem_data_loads += entries * nm as u64;
-            metrics.flops += 2 * entries * nm as u64;
+    /// One row for a chunk of fields: `coeffs` is interleaved
+    /// `[slot][mode][lane]` and `out` receives one value per lane. Lanes
+    /// are fields: each weight is loaded once, broadcast, and fused into
+    /// every field's accumulator for that mode. Each lane then runs
+    /// exactly the single-field kernel's arithmetic for its field — the
+    /// same per-mode chain in the same entry order (`fma` on vector ISAs,
+    /// `mul` then `add` on scalar) and the same fixed-order reduction,
+    /// zero-padded modes included — so the values are bitwise those of
+    /// [`Self::row_dot`] under the same ISA.
+    #[inline]
+    fn row_dot_batch(&self, r: usize, coeffs: &[f64], isa: SimdIsa, out: &mut [f64]) {
+        // The vector arms store a full register of lanes into `out`.
+        assert_eq!(out.len(), batch_width(isa), "one output slot per lane");
+        match isa {
+            SimdIsa::Scalar => self.row_dot_batch_scalar(r, coeffs, out),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as in `row_dot` for the CPU features; `out` holds
+            // one value per lane (asserted above), and the sweep gathered
+            // `coeffs` with `n_modes` lanes-wide blocks per element slot,
+            // every column being a valid slot.
+            SimdIsa::Avx2 => unsafe { self.row_dot_batch_avx2(r, coeffs, out) },
+            #[cfg(target_arch = "x86_64")]
+            SimdIsa::Avx512 => unsafe { self.row_dot_batch_avx512(r, coeffs, out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => self.row_dot_batch_scalar(r, coeffs, out),
         }
-        metrics.partial_slots += (end - start) as u64;
-        metrics
+    }
+
+    /// Portable batch kernel: [`SCALAR_BATCH`] fields per row, each lane
+    /// the `mul`-then-`add` chain and left-to-right mode sum of
+    /// [`Self::row_dot_lanes`].
+    #[inline]
+    fn row_dot_batch_scalar(&self, r: usize, coeffs: &[f64], out: &mut [f64]) {
+        const L: usize = SCALAR_BATCH;
+        let nm = self.n_modes;
+        let (lo, hi) = self.row_range(r);
+        let mut acc = [[0.0f64; L]; MAX_MODES];
+        for e in lo..hi {
+            let w = &self.weights[e * nm..(e + 1) * nm];
+            let col = self.cols[e] as usize;
+            let c = &coeffs[col * nm * L..(col + 1) * nm * L];
+            for (m, a) in acc.iter_mut().enumerate().take(nm) {
+                let cm = &c[m * L..(m + 1) * L];
+                for f in 0..L {
+                    a[f] += w[m] * cm[f];
+                }
+            }
+        }
+        for (f, o) in out.iter_mut().enumerate() {
+            *o = acc[..nm].iter().map(|a| a[f]).sum();
+        }
+    }
+
+    /// AVX2+FMA batch kernel: 4 fields per row, one accumulator vector
+    /// per mode. The reduction is [`Self::row_dot_avx2`]'s, lane-wise:
+    /// 4-mode blocks in order, `(m0+m1)+(m2+m3)` within each, modes past
+    /// `n_modes` contributing the zeros its masked tail loads.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, `out` must hold 4 values, and
+    /// `coeffs` must hold `n_modes * 4` values for every element slot the
+    /// row's columns name.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn row_dot_batch_avx2(&self, r: usize, coeffs: &[f64], out: &mut [f64]) {
+        use core::arch::x86_64::*;
+        const L: usize = 4;
+        let nm = self.n_modes;
+        let (lo, hi) = self.row_range(r);
+        let mut acc = [_mm256_setzero_pd(); MAX_MODES.next_multiple_of(L)];
+        for e in lo..hi {
+            let w = self.weights.as_ptr().add(e * nm);
+            let c = coeffs.as_ptr().add(self.cols[e] as usize * nm * L);
+            for (m, a) in acc.iter_mut().enumerate().take(nm) {
+                let wv = _mm256_set1_pd(*w.add(m));
+                let cv = _mm256_loadu_pd(c.add(m * L));
+                *a = _mm256_fmadd_pd(wv, cv, *a);
+            }
+        }
+        let mut total = _mm256_setzero_pd();
+        for q in acc[..nm.next_multiple_of(L)].chunks_exact(L) {
+            let block = _mm256_add_pd(_mm256_add_pd(q[0], q[1]), _mm256_add_pd(q[2], q[3]));
+            total = _mm256_add_pd(total, block);
+        }
+        _mm256_storeu_pd(out.as_mut_ptr(), total);
+    }
+
+    /// AVX-512 batch kernel: 8 fields per row, one accumulator vector per
+    /// mode, reduced like [`Self::row_dot_avx512`]: 8-mode blocks in
+    /// order, `((m0+m1)+(m2+m3))+((m4+m5)+(m6+m7))` within each.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, `out` must hold 8 values, and
+    /// `coeffs` must hold `n_modes * 8` values for every element slot the
+    /// row's columns name.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn row_dot_batch_avx512(&self, r: usize, coeffs: &[f64], out: &mut [f64]) {
+        use core::arch::x86_64::*;
+        const L: usize = 8;
+        let nm = self.n_modes;
+        let (lo, hi) = self.row_range(r);
+        let mut acc = [_mm512_setzero_pd(); MAX_MODES.next_multiple_of(L)];
+        for e in lo..hi {
+            let w = self.weights.as_ptr().add(e * nm);
+            let c = coeffs.as_ptr().add(self.cols[e] as usize * nm * L);
+            for (m, a) in acc.iter_mut().enumerate().take(nm) {
+                let wv = _mm512_set1_pd(*w.add(m));
+                let cv = _mm512_loadu_pd(c.add(m * L));
+                *a = _mm512_fmadd_pd(wv, cv, *a);
+            }
+        }
+        let mut total = _mm512_setzero_pd();
+        for q in acc[..nm.next_multiple_of(L)].chunks_exact(L) {
+            let low = _mm512_add_pd(_mm512_add_pd(q[0], q[1]), _mm512_add_pd(q[2], q[3]));
+            let high = _mm512_add_pd(_mm512_add_pd(q[4], q[5]), _mm512_add_pd(q[6], q[7]));
+            total = _mm512_add_pd(total, _mm512_add_pd(low, high));
+        }
+        _mm512_storeu_pd(out.as_mut_ptr(), total);
     }
 }

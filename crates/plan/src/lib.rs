@@ -29,7 +29,9 @@
 //! Entry points:
 //!
 //! * [`EvalPlan::compile`] — build a plan from a mesh, grid, and options;
-//! * [`EvalPlan::apply`] / [`EvalPlan::apply_many`] — evaluate fields;
+//! * [`EvalPlan::apply`] / [`EvalPlan::apply_many`] — evaluate fields
+//!   (a batch streams the CSR once per chunk of
+//!   [`ApplyOptions::batch_width`] fields);
 //! * [`PlanExt`] — compile straight from a configured
 //!   [`PostProcessor`](ustencil_core::PostProcessor);
 //! * [`CachedPlan`] — a front end that compiles lazily and recompiles only

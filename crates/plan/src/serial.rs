@@ -13,6 +13,7 @@
 use crate::plan::EvalPlan;
 use std::fmt::Write as _;
 use std::time::Duration;
+use ustencil_core::integrate::MAX_MODES;
 use ustencil_core::{Layout, Metrics};
 use ustencil_trace::Json;
 
@@ -128,7 +129,7 @@ impl EvalPlan {
 
     /// Loads a plan from JSON text, validating the format tag and every
     /// structural invariant (row-pointer monotonicity, array lengths,
-    /// column bounds, mode count).
+    /// column bounds, mode count within the compiler's mode budget).
     pub fn from_json(text: &str) -> Result<EvalPlan, String> {
         let doc = Json::parse(text)?;
         let format = get_str(&doc, "format")?;
@@ -141,7 +142,16 @@ impl EvalPlan {
         let smoothness = get_usize(&doc, "smoothness")?;
         let n_modes = get_usize(&doc, "n_modes")?;
         let n_elements = get_usize(&doc, "n_elements")?;
-        if n_modes != (degree + 1) * (degree + 2) / 2 {
+        // The compiler's mode budget bounds every plan the row kernels can
+        // run; check it before trusting the degree in any arithmetic.
+        let degree_modes = degree
+            .checked_add(1)
+            .zip(degree.checked_add(2))
+            .and_then(|(a, b)| a.checked_mul(b))
+            .map(|x| x / 2)
+            .filter(|&m| m <= MAX_MODES)
+            .ok_or_else(|| format!("degree {degree} exceeds the {MAX_MODES}-mode budget"))?;
+        if n_modes != degree_modes {
             return Err(format!(
                 "n_modes {n_modes} inconsistent with degree {degree}"
             ));

@@ -121,12 +121,29 @@ fn apply_variants_agree() {
         assert_eq!(av.to_bits(), bv.to_bits());
         assert_eq!(av.to_bits(), cv.to_bits());
     }
-    // Batched applies are per-field applies.
-    let fields = vec![field.clone(), field];
+    // Batched applies are per-field applies, bitwise, across a chunk
+    // boundary: 11 fields are no multiple of any batch width (4 or 8).
+    let fields: Vec<_> = (0..11)
+        .map(|i| {
+            let mut f = field.clone();
+            f.coefficients_mut()
+                .iter_mut()
+                .for_each(|c| *c *= 1.0 + 0.1 * i as f64);
+            f
+        })
+        .collect();
     let many = plan.apply_many(&fields, &ApplyOptions::default());
-    assert_eq!(many.len(), 2);
+    assert_eq!(many.len(), fields.len());
+    for (f, sol) in fields.iter().zip(&many) {
+        let single = plan.apply(f);
+        assert!(sol
+            .values
+            .iter()
+            .zip(&single.values)
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
+        assert_eq!(sol.metrics, single.metrics);
+    }
     assert_eq!(many[0].values, a.values);
-    assert_eq!(many[1].values, a.values);
 }
 
 #[test]
@@ -442,6 +459,32 @@ fn malformed_plans_are_rejected() {
     assert!(EvalPlan::from_json(&bad).is_err());
     // Inconsistent mode count.
     let bad = text.replace("\"n_modes\": 3", "\"n_modes\": 6");
+    assert!(EvalPlan::from_json(&bad).is_err());
+}
+
+#[test]
+fn degrees_past_the_mode_budget_are_rejected() {
+    let (mesh, _, grid) = setup(100, 1, 1);
+    let plan = EvalPlan::compile(&mesh, &grid, 1, &small_options());
+    let text = plan.to_pretty_string();
+    // A self-consistent degree-7 document: 36 modes (past the compiler's
+    // 10-mode budget) and a weight blob of 36 weights per entry, so only
+    // the degree check stands between it and a plan the row kernels
+    // cannot run.
+    let start = text.find("\"weights\": \"").unwrap() + "\"weights\": \"".len();
+    let end = start + text[start..].find('"').unwrap();
+    let mut bad = text.clone();
+    bad.replace_range(start..end, &"3ff0000000000000".repeat(plan.nnz() * 36));
+    let bad = bad
+        .replace("\"degree\": 1", "\"degree\": 7")
+        .replace("\"n_modes\": 3", "\"n_modes\": 36");
+    let err = EvalPlan::from_json(&bad).unwrap_err();
+    assert!(err.contains("mode budget"), "{err}");
+    // A degree whose mode count overflows any integer type.
+    let bad = text.replace("\"degree\": 1", &format!("\"degree\": {}", u64::MAX));
+    assert!(EvalPlan::from_json(&bad).is_err());
+    // The largest degree the JSON number reader takes exactly.
+    let bad = text.replace("\"degree\": 1", &format!("\"degree\": {}", 1u64 << 53));
     assert!(EvalPlan::from_json(&bad).is_err());
 }
 

@@ -17,7 +17,8 @@
 //! * [`PlanServer`] — worker threads behind a bounded submission queue
 //!   (blocking admission = backpressure). Queued requests against the same
 //!   plan coalesce into one
-//!   [`apply_many`](ustencil_plan::EvalPlan::apply_many) sweep. Every
+//!   [`apply_many`](ustencil_plan::EvalPlan::apply_many) call, which
+//!   streams the CSR once per chunk of fields. Every
 //!   request is timed into per-tenant [`Hist64`](ustencil_trace::Hist64)
 //!   ledgers surfaced as
 //!   [`ServeStats`](ustencil_core::ServeStats) in `RunRecord` JSON.
@@ -27,8 +28,9 @@
 //!
 //! Correctness stance: batching and caching change *when* work happens,
 //! never *what* is computed — every requester of a key receives the same
-//! shared plan, and a coalesced `apply_many` is bit-identical to separate
-//! applies (unit-tested in `tests/single_flight.rs`).
+//! shared plan (`tests/single_flight.rs`), and a coalesced `apply_many` is
+//! bit-identical to separate applies (property-tested in the workspace's
+//! `tests/apply_many_prop.rs`).
 
 #![deny(missing_docs)]
 

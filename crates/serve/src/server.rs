@@ -4,11 +4,12 @@
 //! Clients [`submit`](ServerClient::submit) field-evaluation requests and
 //! block on a [`Ticket`] for the answer. Workers pop the queue head and
 //! *coalesce*: every queued request against the same [`PlanKey`] (up to
-//! `max_batch`) joins the head's batch and is served by a single
-//! [`apply_many`](ustencil_plan::EvalPlan::apply_many) sweep — one pass
-//! over the plan's CSR serving many tenants' fields, which is where the
-//! compile-once/apply-many economics of the paper turn into service
-//! throughput.
+//! `max_batch`) joins the head's batch and is served by
+//! [`apply_many`](ustencil_plan::EvalPlan::apply_many) — one pass over the
+//! plan's CSR per chunk of up to
+//! [`batch_width`](ustencil_plan::ApplyOptions::batch_width) tenants'
+//! fields, which is where the compile-once/apply-many economics of the
+//! paper turn into service throughput.
 //!
 //! Admission is backpressured: the queue holds at most `queue_capacity`
 //! requests and `submit` blocks until space frees, so a burst slows
